@@ -33,7 +33,7 @@
 
 use speedbal_native::balancer::{NativeConfig, NativeSpeedBalancer, NativeStats};
 use speedbal_native::topo::parse_cpulist;
-use speedbal_trace::{export_chrome, TraceConfig};
+use speedbal_trace::{export_chrome_to, TraceConfig};
 use std::process::{exit, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -58,7 +58,8 @@ fn run_balancer(
         None => bal.run(stop),
         Some(path) => {
             let (stats, trace) = bal.run_traced(stop, TraceConfig::default());
-            match std::fs::write(path, export_chrome(&trace)) {
+            // Streamed: the document is never built in memory.
+            match std::fs::File::create(path).and_then(|f| export_chrome_to(&trace, f)) {
                 Ok(()) => eprintln!("speedbalancer: wrote trace to {path}"),
                 Err(e) => eprintln!("speedbalancer: cannot write {path}: {e}"),
             }

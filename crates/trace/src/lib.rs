@@ -40,5 +40,5 @@ pub use event::{
     ActivationOutcome, MigrationReason, ProcFaultKind, ProcOp, RequestDropReason, TraceEvent,
     TraceRecord,
 };
-pub use sink::{SeriesStats, StateTimes, TraceBuffer, TraceConfig, TraceCounters};
+pub use sink::{SeriesStats, StateTimes, TaskName, TraceBuffer, TraceConfig, TraceCounters};
 pub use summary::render_summary;

@@ -7,6 +7,7 @@ use crate::compact;
 use crate::event::{MigrationReason, ProcFaultKind, RequestDropReason, TraceEvent, TraceRecord};
 use speedbal_machine::{CoreId, DomainLevel};
 use speedbal_sim::{SimDuration, SimTime};
+use std::fmt;
 
 /// Sink tunables.
 #[derive(Debug, Clone)]
@@ -291,11 +292,12 @@ impl TraceBuffer {
         self.life[task] = Some((LifeState::Runnable, now));
     }
 
-    /// The registered name, or a synthetic `t<N>` fallback.
-    pub fn task_name(&self, task: usize) -> String {
+    /// The registered name, or a synthetic `t<N>` fallback, borrowed
+    /// from the buffer: neither case allocates.
+    pub fn task_name(&self, task: usize) -> TaskName<'_> {
         match self.task_names.get(task) {
-            Some(n) if !n.is_empty() => n.clone(),
-            _ => format!("t{task}"),
+            Some(n) if !n.is_empty() => TaskName::Registered(n),
+            _ => TaskName::Fallback(task),
         }
     }
 
@@ -588,6 +590,25 @@ impl TraceBuffer {
     pub fn end_time(&self) -> SimTime {
         self.assert_flushed();
         self.last_time
+    }
+}
+
+/// A task's display name, borrowed from its [`TraceBuffer`]. Returned by
+/// [`TraceBuffer::task_name`]; displays as the name itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TaskName<'a> {
+    /// The non-empty name registered by [`TraceBuffer::task_spawned`].
+    Registered(&'a str),
+    /// No name registered for this task index: displays as `t<N>`.
+    Fallback(usize),
+}
+
+impl fmt::Display for TaskName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TaskName::Registered(name) => f.write_str(name),
+            TaskName::Fallback(task) => write!(f, "t{task}"),
+        }
     }
 }
 
@@ -903,7 +924,9 @@ mod tests {
     fn task_names_fall_back() {
         let mut buf = TraceBuffer::new();
         buf.task_spawned(1, "worker", t(0));
-        assert_eq!(buf.task_name(1), "worker");
-        assert_eq!(buf.task_name(7), "t7");
+        assert_eq!(buf.task_name(1), TaskName::Registered("worker"));
+        assert_eq!(buf.task_name(1).to_string(), "worker");
+        assert_eq!(buf.task_name(7), TaskName::Fallback(7));
+        assert_eq!(buf.task_name(7).to_string(), "t7");
     }
 }
