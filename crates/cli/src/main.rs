@@ -70,9 +70,10 @@
 //!                    at every job count.
 //!   --no-cache       bypass the content-addressed result cache in
 //!                    target/sweep-cache/ (cells always re-run)
-//!   --trace-sample <r>  with trace: keep only fraction r of ctx-switch /
-//!                    speed-sample records (deterministic per seed);
-//!                    aggregates and summaries stay exact
+//!   --trace-sample <r>  with trace: keep only fraction r of occupancy
+//!                    intervals (dispatch + deschedule pairs) and speed
+//!                    samples (deterministic per seed); aggregates and
+//!                    summaries stay exact
 //!   --out <f>        bench: output path [default: BENCH_sim.json]
 //!                    check --fuzz: repro file path [default: fuzz_repros.txt]
 //!   --check <f>      bench: compare against a committed report instead of

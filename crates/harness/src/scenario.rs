@@ -160,8 +160,9 @@ pub struct Scenario {
     /// `speedbal-trace`). Tracing never changes scheduling decisions, only
     /// run time and memory.
     pub trace: bool,
-    /// Fraction of high-volume trace records (context switches, speed
-    /// samples) retained in the trace ring; `1.0` keeps everything. The
+    /// Fraction of occupancy intervals (a dispatch and the deschedule
+    /// that closes it, kept or dropped together) and of speed samples
+    /// retained in the trace ring; `1.0` keeps everything. The
     /// sampling decision is deterministic per repeat seed, and dropped
     /// records stay covered by the trace aggregates, so multi-GB sweeps
     /// can be thinned without losing the summary or determinism.

@@ -18,13 +18,14 @@ pub struct TraceConfig {
     /// Period of the built-in per-task / per-core speed sampler the
     /// simulator arms while tracing (the paper samples /proc every 100 ms).
     pub sample_interval: SimDuration,
-    /// Fraction of *high-volume* records (context switches and speed
-    /// samples — `Dispatch`, `Desched`, `SpeedSample`) retained in the
-    /// ring. Everything else (migrations, barriers, faults, ...) is always
-    /// kept, and aggregates always cover sampled-out records, so summaries
-    /// stay exact. `1.0` (the default) disables sampling. The decision is
-    /// a deterministic function of `sample_seed` and the record sequence,
-    /// so two identical runs sample identically.
+    /// Fraction of occupancy intervals (a `Dispatch` and the `Desched`
+    /// that closes it, kept or dropped together) and of speed samples
+    /// retained in the ring. Everything else (migrations, barriers,
+    /// faults, ...) is always kept, and aggregates always cover
+    /// sampled-out records, so summaries stay exact. `1.0` (the default)
+    /// disables sampling. The decision is a deterministic function of
+    /// `sample_seed` and the record sequence, so two identical runs
+    /// sample identically.
     pub sample_rate: f64,
     /// Seed for the deterministic sampling decision stream.
     pub sample_seed: u64,
@@ -225,6 +226,10 @@ pub struct TraceBuffer {
     sampled_out: u64,
     /// xorshift64 state behind the sampling decision stream.
     sample_state: u64,
+    /// Per core, the sampling decision of the occupancy interval open
+    /// there: `(task, keep)` from its `Dispatch`, taken by the `Desched`
+    /// that closes it.
+    sample_open: Vec<Option<(usize, bool)>>,
     counters: TraceCounters,
     n_cores: usize,
     task_names: Vec<String>,
@@ -437,15 +442,7 @@ impl TraceBuffer {
             }
             TraceEvent::FreqStep { .. } => self.counters.freq_steps += 1,
         }
-        if self.cfg.sample_rate < 1.0
-            && matches!(
-                event,
-                TraceEvent::Dispatch { .. }
-                    | TraceEvent::Desched { .. }
-                    | TraceEvent::SpeedSample { .. }
-            )
-            && !self.sample_keep()
-        {
+        if self.cfg.sample_rate < 1.0 && !self.sample_keeps(core, &event) {
             self.sampled_out += 1;
             return;
         }
@@ -485,9 +482,38 @@ impl TraceBuffer {
         }
     }
 
+    /// Whether a sampled trace keeps this record in the ring. Context
+    /// switches are sampled per occupancy interval: a `Dispatch` draws,
+    /// and the `Desched` that closes it on the same core takes the same
+    /// decision, so the exporter never joins the ends of two different
+    /// intervals. A `Desched` that closes no `Dispatch` on its core bounds
+    /// no interval and is dropped. Speed samples draw one by one; every
+    /// other record is kept.
+    fn sample_keeps(&mut self, core: CoreId, event: &TraceEvent) -> bool {
+        match *event {
+            TraceEvent::Dispatch { task } => {
+                let keep = self.sample_draw();
+                if self.sample_open.len() <= core.0 {
+                    self.sample_open.resize(core.0 + 1, None);
+                }
+                self.sample_open[core.0] = Some((task, keep));
+                keep
+            }
+            TraceEvent::Desched { task, .. } => match self.sample_open.get(core.0) {
+                Some(&Some((open, keep))) if open == task => {
+                    self.sample_open[core.0] = None;
+                    keep
+                }
+                _ => false,
+            },
+            TraceEvent::SpeedSample { .. } => self.sample_draw(),
+            _ => true,
+        }
+    }
+
     /// One draw of the deterministic sampling stream: keep with
     /// probability `sample_rate`.
-    fn sample_keep(&mut self) -> bool {
+    fn sample_draw(&mut self) -> bool {
         let mut x = self.sample_state;
         x ^= x << 13;
         x ^= x >> 7;
@@ -865,6 +891,62 @@ mod tests {
         assert!(buf
             .records()
             .all(|r| matches!(r.event, TraceEvent::Migrate { .. })));
+    }
+
+    #[test]
+    fn sampling_keeps_or_drops_whole_occupancy_intervals() {
+        let mut buf = TraceBuffer::with_config(TraceConfig {
+            sample_rate: 0.5,
+            sample_seed: 3,
+            ..TraceConfig::default()
+        });
+        // Two cores with interleaved intervals of alternating tasks.
+        for i in 0..400 {
+            let core = CoreId((i % 2) as usize);
+            let task = (i % 4) as usize;
+            buf.record(t(10 * i), core, TraceEvent::Dispatch { task });
+            buf.record(
+                t(10 * i + 5),
+                core,
+                TraceEvent::Desched {
+                    task,
+                    ran: SimDuration::from_micros(5),
+                },
+            );
+        }
+        // Closes nothing on core 0, so it is dropped.
+        buf.record(
+            t(9_999),
+            CoreId(0),
+            TraceEvent::Desched {
+                task: 9,
+                ran: SimDuration::ZERO,
+            },
+        );
+        buf.flush();
+        let mut open: Vec<Option<usize>> = vec![None; 2];
+        let mut intervals = 0;
+        for r in buf.records() {
+            match r.event {
+                TraceEvent::Dispatch { task } => {
+                    assert_eq!(open[r.core.0], None, "kept Dispatch left unclosed");
+                    open[r.core.0] = Some(task);
+                }
+                TraceEvent::Desched { task, .. } => {
+                    assert_eq!(
+                        open[r.core.0].take(),
+                        Some(task),
+                        "Desched without its Dispatch"
+                    );
+                    intervals += 1;
+                }
+                _ => unreachable!(),
+            }
+        }
+        assert_eq!(open, vec![None, None]);
+        assert!((150..=250).contains(&intervals), "{intervals} of 400 kept");
+        assert_eq!(buf.sampled_out(), 2 * (400 - intervals) + 1);
+        assert_eq!(buf.counters().descheds, 401);
     }
 
     #[test]

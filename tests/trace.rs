@@ -435,3 +435,55 @@ fn chrome_export_of_every_variant_matches_golden_file() {
         "Chrome export changed; if intentional, UPDATE_GOLDEN=1 cargo test --test trace"
     );
 }
+
+/// The occupancy intervals (`X` events) of a Chrome export, each as its
+/// `tid`, `ts`, `dur` and `name` fields.
+fn occupancy_intervals(json: &str) -> Vec<&str> {
+    json.lines()
+        .filter(|line| line.starts_with("{\"ph\":\"X\""))
+        .map(|line| {
+            let (_, fields) = line.split_once("\"tid\":").expect("X event has a tid");
+            fields.trim_end_matches(',')
+        })
+        .collect()
+}
+
+/// Trace sampling keeps or drops whole occupancy intervals: every `X`
+/// event of a sampled export is one of the full-rate export's, about
+/// `rate * n` of the `n` intervals survive, and the aggregates still
+/// cover everything.
+#[test]
+fn sampled_trace_keeps_whole_occupancy_intervals() {
+    let profile = Profile {
+        scale: 0.25,
+        repeats: 1,
+    };
+    let scenario = experiments::trace_scenario("web-serve", Policy::Speed, profile).unwrap();
+    let full = run_repeat(&scenario, 0, true).trace.expect("traced");
+    let full_json = export_chrome(&full);
+    let all: std::collections::HashSet<&str> =
+        occupancy_intervals(&full_json).into_iter().collect();
+    let n = all.len() as f64;
+    assert!(n > 1_000.0, "only {n} intervals in the full trace");
+    for rate in [0.1, 0.5] {
+        let thin = scenario.clone().trace_sampled(rate);
+        let sampled = run_repeat(&thin, 0, true).trace.expect("traced");
+        assert_eq!(sampled.counters(), full.counters(), "rate {rate}");
+        let json = export_chrome(&sampled);
+        let kept = occupancy_intervals(&json);
+        for interval in &kept {
+            assert!(
+                all.contains(interval),
+                "rate {rate}: interval not in the full trace: {interval}"
+            );
+        }
+        // Four standard deviations of Binomial(n, rate).
+        let band = 4.0 * (n * rate * (1.0 - rate)).sqrt();
+        let expected = rate * n;
+        assert!(
+            (kept.len() as f64 - expected).abs() <= band,
+            "rate {rate}: kept {} of {n} intervals, expected {expected:.0} ± {band:.0}",
+            kept.len()
+        );
+    }
+}
