@@ -257,9 +257,9 @@ pub fn run_full_check(quick: bool) -> CheckReport {
 
     // Each fuzz case is independent; fan seeds × delta profiles out on
     // the sweep executor (results return in deterministic order, so the
-    // failure list is stable). The biased profiles aim at the timing
-    // wheel's edges: bucket rollovers, the far-future overflow list, and
-    // the cancel-heavy compaction path.
+    // failure list is stable). The biased profiles cluster times at
+    // powers of two, add a far-future tail, or skew the mix toward slot
+    // supersedes and cancels.
     let seeds: u64 = if quick { 8 } else { 32 };
     let ops = if quick { 1_500 } else { 4_000 };
     let profiles = [

@@ -41,33 +41,6 @@ proptest! {
         prop_assert_eq!(Ok(golden), fifo);
     }
 
-    /// Batched same-instant service (the event queue's instant-run
-    /// cache, on by default) must pop the exact event sequence of
-    /// per-event lane-scan service: identical fingerprints on every
-    /// battery cell, under FIFO and under the non-FIFO orderings whose
-    /// stash pulls ride the same pop primitive.
-    #[test]
-    fn batched_dispatch_matches_per_event_service(
-        idx in 0usize..16,
-        seed in 0u64..u64::MAX,
-    ) {
-        let battery = diff_battery(true);
-        let s = &battery[idx % battery.len()];
-        for policy in [
-            OrderingPolicy::Fifo,
-            OrderingPolicy::Lifo,
-            OrderingPolicy::SeededShuffle(seed),
-        ] {
-            let batched = fuzz_case(s, 0, &policy);
-            let scanned = fuzz_case(&s.clone().instant_batching(false), 0, &policy);
-            prop_assert!(batched.is_ok(), "[{}] batched run failed: {:?}", policy, batched);
-            prop_assert_eq!(
-                &batched, &scanned,
-                "{} [{}]: batched and per-event service diverged", s.label(), policy
-            );
-        }
-    }
-
     /// The full fuzz invariant set holds under shuffle seeds far outside
     /// the committed corpus, on every quick-battery cell (including the
     /// NUMA and make -j cells added with the fuzzer).

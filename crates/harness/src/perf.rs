@@ -118,12 +118,8 @@ pub struct BenchReport {
     pub ns_per_step: f64,
     /// Steps per wall-clock second at the best repeat.
     pub steps_per_sec: f64,
-    /// Fraction of pending heap entries dead at the end of the run.
-    pub dead_ratio: f64,
     /// Slot cancellations over the run (repeat-invariant).
     pub cancellations: u64,
-    /// Dead-entry compaction passes over the run (repeat-invariant).
-    pub compactions: u64,
     /// Process peak RSS (`VmHWM`) in kB, if readable.
     pub peak_rss_kb: u64,
     /// The multi-scenario benchmark matrix (schema v3); empty when the
@@ -162,9 +158,7 @@ struct RunOutcome {
     steps: u64,
     sim_secs: f64,
     wall_ns: u128,
-    dead_ratio: f64,
     cancellations: u64,
-    compactions: u64,
 }
 
 fn run_once(scale: f64) -> RunOutcome {
@@ -187,9 +181,7 @@ fn run_once(scale: f64) -> RunOutcome {
         steps,
         sim_secs: sys.now().as_secs_f64(),
         wall_ns: start.elapsed().as_nanos(),
-        dead_ratio: sys.event_dead_ratio(),
         cancellations: sys.event_cancellations(),
-        compactions: sys.event_compactions(),
     }
 }
 
@@ -610,9 +602,7 @@ pub fn run_bench(cfg: &BenchConfig, mut progress: impl FnMut(&str)) -> BenchRepo
         sim_secs: best.sim_secs,
         ns_per_step,
         steps_per_sec: 1e9 / ns_per_step,
-        dead_ratio: best.dead_ratio,
         cancellations: best.cancellations,
-        compactions: best.compactions,
         peak_rss_kb: peak_rss_kb(),
         matrix: Vec::new(),
         sweep: None,
@@ -750,9 +740,7 @@ impl BenchReport {
         let _ = writeln!(s, "    \"sim_secs\": {},", fmt_f64(self.sim_secs));
         let _ = writeln!(s, "    \"ns_per_step\": {},", fmt_f64(self.ns_per_step));
         let _ = writeln!(s, "    \"steps_per_sec\": {},", fmt_f64(self.steps_per_sec));
-        let _ = writeln!(s, "    \"dead_ratio\": {},", fmt_f64(self.dead_ratio));
         let _ = writeln!(s, "    \"cancellations\": {},", self.cancellations);
-        let _ = writeln!(s, "    \"compactions\": {},", self.compactions);
         let _ = writeln!(s, "    \"peak_rss_kb\": {}", self.peak_rss_kb);
         if !self.matrix.is_empty() {
             let _ = writeln!(s, "  }},");
@@ -1224,9 +1212,7 @@ mod tests {
             sim_secs: 5.815,
             ns_per_step: 120.5,
             steps_per_sec: 1e9 / 120.5,
-            dead_ratio: 0.0,
             cancellations: 31_173,
-            compactions: 501,
             peak_rss_kb: 2900,
             matrix: Vec::new(),
             sweep: None,
@@ -1501,7 +1487,6 @@ mod tests {
         assert_eq!(a.steps, b.steps, "same seed+scale must replay identically");
         assert!(a.steps > 10_000, "scenario should do real work");
         assert!(a.ns_per_step > 0.0);
-        assert_eq!(a.dead_ratio, b.dead_ratio);
         assert_eq!(a.cancellations, b.cancellations);
     }
 }

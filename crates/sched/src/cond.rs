@@ -72,11 +72,13 @@ impl CondTable {
         self.pending.pop_front()
     }
 
-    /// Moves the condition's registered waiters into `out` (clearing them),
-    /// appending after whatever `out` already holds. Lets the caller reuse
-    /// one buffer across drains instead of allocating per condition.
+    /// Moves the condition's registered waiters into `out`, appending after
+    /// whatever `out` already holds. Lets the caller reuse one buffer
+    /// across drains instead of allocating per condition. The condition's
+    /// own buffer is freed: a set condition never gains waiters again, and
+    /// a run allocates one condition per barrier episode.
     pub fn take_waiters_into(&mut self, id: CondId, out: &mut Vec<TaskId>) {
-        out.append(&mut self.conds[id.0].waiters);
+        out.append(&mut std::mem::take(&mut self.conds[id.0].waiters));
     }
 
     /// Number of allocated conditions (diagnostics).
@@ -128,6 +130,20 @@ mod tests {
         t.take_waiters_into(c, &mut waiters);
         assert!(waiters.is_empty());
         assert_eq!(t.pop_pending(), None);
+    }
+
+    #[test]
+    fn drained_condition_holds_no_buffer() {
+        let mut t = CondTable::new();
+        let c = t.alloc();
+        for i in 0..64 {
+            t.add_waiter(c, TaskId(i));
+        }
+        t.set(c);
+        let mut waiters = Vec::new();
+        t.take_waiters_into(c, &mut waiters);
+        assert_eq!(waiters.len(), 64);
+        assert_eq!(t.conds[c.0].waiters.capacity(), 0);
     }
 
     #[test]

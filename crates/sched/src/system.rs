@@ -281,7 +281,7 @@ pub struct System {
 pub struct StepProfile {
     /// Steps accumulated into this profile.
     pub steps: u64,
-    /// Event-queue pop (wheel service: batch refills, cascades).
+    /// Event-queue pop (lane minimum or heap top).
     pub pop_ns: u64,
     /// Core-event handling: deschedule accounting, program transitions,
     /// dispatch and boundary re-arm.
@@ -679,16 +679,6 @@ impl System {
         self.events.set_ordering(policy);
     }
 
-    /// Turns the event queue's batched same-instant service on or off
-    /// (on by default). Off serves every pop from a full lane scan — the
-    /// pre-batching reference path. Both settings step the exact same
-    /// event sequence under every ordering policy; the differential
-    /// proptest in `crates/check` pins this, so the knob exists for that
-    /// test and for bisecting, not for tuning.
-    pub fn set_instant_batching(&mut self, on: bool) {
-        self.events.set_instant_batching(on);
-    }
-
     /// The `(choice, arity)` branch-point log of an
     /// `OrderingPolicy::Exhaustive` run (empty under any other policy);
     /// feed it to `speedbal_sim::ordering::next_prefix` to enumerate the
@@ -799,10 +789,12 @@ impl System {
         self.events_processed
     }
 
-    /// Fraction of pending heap entries that are cancelled-but-unpurged
-    /// (see [`EventQueue::dead_ratio`]); bench/diagnostic introspection.
+    /// Fraction of pending event-queue entries that are cancelled but not
+    /// yet purged. Always 0: cancelling or re-arming a slot removes its
+    /// event on the spot, so the queue never holds a dead entry. Kept for
+    /// callers that report it.
     pub fn event_dead_ratio(&self) -> f64 {
-        self.events.dead_ratio()
+        0.0
     }
 
     /// Slot cancellations performed by the event queue so far.
@@ -811,8 +803,10 @@ impl System {
     }
 
     /// Dead-entry compaction passes performed by the event queue so far.
+    /// Always 0: the queue never holds a dead entry, so there is nothing
+    /// to compact. Kept for callers that report it.
     pub fn event_compactions(&self) -> u64 {
-        self.events.compactions()
+        0
     }
 
     /// Live (undelivered, uncancelled) events currently pending.
