@@ -16,6 +16,9 @@
 //! avoid hot-potato tasks, and (on NUMA machines) migrations confined to a
 //! node.
 //!
+//! The decision half of an activation lives in [`decision`], which the
+//! native `speedbalancer` (crate `speedbal-native`) calls too.
+//!
 //! Two deployment forms are provided, mirroring the paper's user-level
 //! `speedbalancer` program:
 //!
@@ -30,6 +33,7 @@
 #![deny(clippy::perf)]
 
 pub mod config;
+pub mod decision;
 pub mod speed;
 pub mod stats;
 

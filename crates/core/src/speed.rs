@@ -1,8 +1,9 @@
 //! The distributed speed-balancing algorithm (paper §5.1–5.2).
 
 use crate::config::{SpeedBalancerConfig, SpeedMetric};
+use crate::decision::{self, Block, Decision, Rules, View};
 use crate::stats::{SpeedStats, SpeedStatsHandle};
-use speedbal_machine::CoreId;
+use speedbal_machine::{CoreId, DomainLevel};
 use speedbal_sched::balancer::keys;
 use speedbal_sched::{
     ActivationOutcome, Balancer, GroupId, MigrationReason, System, TaskId, TraceEvent,
@@ -24,17 +25,9 @@ struct PerCore {
     /// the other balancers when they compute the global average. Starts at
     /// 1.0 (an idle core offers full speed).
     published: f64,
-    /// Last time this core was the source or destination of a migration;
-    /// drives the ≥ 2-interval post-migration block.
-    last_migration: Option<SimTime>,
-    /// Activations of *this core's* balancer thread that must still complete
-    /// before the post-migration block lifts. With `randomize_interval` the
-    /// gap between activations stretches up to `2 × interval`, so a purely
-    /// nominal-time block can expire before the core has observed
-    /// `post_migration_block` fresh measurement windows; counting the core's
-    /// own activations restores the paper's "blocked for at least 2 balance
-    /// intervals" under jitter.
-    blocked_activations: u32,
+    block: Block,
+    /// Activations so far, for the per-domain interval tiers.
+    activations: u64,
 }
 
 /// The user-level speed balancer as a pluggable [`Balancer`].
@@ -43,7 +36,8 @@ struct PerCore {
 /// `interval + U(0, interval)`, measures local thread speeds, publishes the
 /// local core speed, and — if the local core is faster than the global
 /// average — pulls **one** thread (the least-migrated) from a core whose
-/// speed is below `T_s ×` the global average.
+/// speed is below `T_s ×` the global average. The decision itself is
+/// [`decision::decide`], shared with the native `speedbalancer`.
 ///
 /// Threads are hard-pinned at all times (round-robin at startup, re-pinned
 /// on every pull), exactly like the real `speedbalancer`'s use of
@@ -53,15 +47,15 @@ pub struct SpeedBalancer {
     cfg: SpeedBalancerConfig,
     /// Groups this balancer manages; `None` = every group in the system.
     managed: Option<Vec<GroupId>>,
-    /// Cores the balancer runs on; `None` = every core (resolved at start).
+    /// Cores the balancer runs on, in ring order; empty = every core
+    /// (resolved at start).
     cores: Vec<CoreId>,
-    per_core: Vec<Option<PerCore>>,
+    /// State of each core of `cores`, in the same order (the ring slots).
+    slots: Vec<PerCore>,
     snapshots: Vec<Option<Snapshot>>,
     rng: SimRng,
     next_rr: usize,
     stats: SpeedStatsHandle,
-    /// Per-core activation counters, for the per-domain interval tiers.
-    activations: Vec<u64>,
 }
 
 impl SpeedBalancer {
@@ -77,12 +71,11 @@ impl SpeedBalancer {
             cfg,
             managed: None,
             cores: Vec::new(),
-            per_core: Vec::new(),
+            slots: Vec::new(),
             snapshots: Vec::new(),
             rng: SimRng::new(seed ^ 0x53504545_44424c52), // "SPEEDBLR"
             next_rr: 0,
             stats: SpeedStats::new_handle(),
-            activations: Vec::new(),
         }
     }
 
@@ -117,22 +110,23 @@ impl SpeedBalancer {
     /// re-derives the same set by scanning the whole task table — same
     /// `TaskId` order, so a run along either path must be bit-identical
     /// (the differential harness in `speedbal-check` diffs them).
-    fn managed_tasks_on(&self, sys: &System, core: CoreId) -> Vec<TaskId> {
-        if self.cfg.reference_scan {
-            return sys
-                .all_tasks()
-                .filter(|&t| {
-                    sys.task_state(t) != speedbal_sched::TaskState::Exited
-                        && sys.task_core(t) == core
-                        && self.is_managed(sys, t)
-                })
-                .collect();
-        }
-        sys.tasks_assigned_to(core)
-            .iter()
-            .copied()
-            .filter(|t| self.is_managed(sys, *t))
-            .collect()
+    fn managed_on<'a>(
+        &'a self,
+        sys: &'a System,
+        core: CoreId,
+    ) -> impl Iterator<Item = TaskId> + 'a {
+        let reference = self.cfg.reference_scan.then(|| {
+            sys.all_tasks().filter(move |&t| {
+                sys.task_state(t) != speedbal_sched::TaskState::Exited && sys.task_core(t) == core
+            })
+        });
+        let members =
+            (!self.cfg.reference_scan).then(|| sys.tasks_assigned_to(core).iter().copied());
+        reference
+            .into_iter()
+            .flatten()
+            .chain(members.into_iter().flatten())
+            .filter(move |&t| self.is_managed(sys, t))
     }
 
     fn snapshot_mut(&mut self, t: TaskId) -> &mut Option<Snapshot> {
@@ -149,12 +143,13 @@ impl SpeedBalancer {
     /// threads all have fresh zero-width windows (e.g. right after a
     /// migration reset both cores' snapshots) holds its previously
     /// published speed instead of masquerading as idle.
-    fn measure_core(&mut self, sys: &mut System, core: CoreId) -> f64 {
+    fn measure_core(&mut self, sys: &mut System, slot: usize) -> f64 {
+        let core = self.cores[slot];
         if self.cfg.metric == SpeedMetric::InverseQueueLength {
             return self.measure_core_by_queue(sys, core);
         }
         let now = sys.now();
-        let tasks = self.managed_tasks_on(sys, core);
+        let tasks: Vec<TaskId> = self.managed_on(sys, core).collect();
         let noise = self.cfg.measurement_noise;
         // Heterogeneous extension (§5): scale CPU share by the core's
         // effective capacity — static speed times the current frequency
@@ -165,7 +160,7 @@ impl SpeedBalancer {
             1.0
         };
         let had_tasks = !tasks.is_empty();
-        let mut speeds = Vec::with_capacity(tasks.len());
+        let (mut sum, mut n) = (0.0, 0usize);
         for t in tasks {
             let exec = sys.task_exec_total(t);
             let snap = self.snapshot_mut(t);
@@ -186,7 +181,8 @@ impl SpeedBalancer {
                             speed,
                         },
                     );
-                    speeds.push(speed);
+                    sum += speed;
+                    n += 1;
                 }
                 Some(_) => {} // zero window: keep waiting
                 None => {
@@ -194,21 +190,17 @@ impl SpeedBalancer {
                 }
             }
         }
-        if speeds.is_empty() {
-            if had_tasks {
-                // Loaded core, but every thread's window is zero-width (all
-                // snapshots were just reset). Publishing the idle value here
-                // would inflate the global average for a whole interval, so
-                // hold the last published speed until a real window opens.
-                self.per_core[core.0]
-                    .as_ref()
-                    .map_or(core_weight, |p| p.published)
-            } else {
-                // An idle core offers its full (weighted) capability.
-                core_weight
-            }
+        if n > 0 {
+            sum / n as f64
+        } else if had_tasks {
+            // Loaded core, but every thread's window is zero-width (all
+            // snapshots were just reset). Publishing the idle value here
+            // would inflate the global average for a whole interval, so
+            // hold the last published speed until a real window opens.
+            self.slots[slot].published
         } else {
-            speeds.iter().sum::<f64>() / speeds.len() as f64
+            // An idle core offers its full (weighted) capability.
+            core_weight
         }
     }
 
@@ -227,149 +219,73 @@ impl SpeedBalancer {
         speed
     }
 
-    /// The global core speed: the average of every core's published speed
-    /// (the only shared state between balancer threads).
-    fn global_speed(&self) -> f64 {
-        let speeds: Vec<f64> = self
-            .per_core
-            .iter()
-            .filter_map(|p| p.as_ref().map(|p| p.published))
-            .collect();
-        if speeds.is_empty() {
-            1.0
-        } else {
-            speeds.iter().sum::<f64>() / speeds.len() as f64
-        }
-    }
-
-    /// Whether `core` is still inside its post-migration block. The paper
-    /// requires a core touched by a migration to sit out "at least 2 balance
-    /// intervals"; with `randomize_interval` a balance interval is jittered
-    /// up to `2 × interval`, so the nominal-time test alone under-enforces
-    /// the block. A core stays blocked until **both** hold:
-    /// `post_migration_block` nominal intervals have elapsed *and* the
-    /// core's own balancer thread has completed that many (jittered)
-    /// activations since the migration.
-    fn in_migration_block(&self, core: CoreId, now: SimTime) -> bool {
-        let Some(p) = self.per_core[core.0].as_ref() else {
-            return false;
-        };
-        if p.blocked_activations > 0 {
-            return true;
-        }
-        let block = self.cfg.interval * u64::from(self.cfg.post_migration_block);
-        match p.last_migration {
-            Some(t) => now.saturating_since(t) < block,
-            None => false,
-        }
-    }
-
-    /// Records that `core`'s balancer thread completed one activation,
-    /// ticking down its post-migration block. Called at the top of
-    /// [`Self::balance`], before the block is consulted.
-    fn note_activation(&mut self, core: CoreId) {
-        if let Some(p) = self.per_core[core.0].as_mut() {
-            p.blocked_activations = p.blocked_activations.saturating_sub(1);
-        }
-    }
-
-    /// One activation of the balancer thread on `local` (paper §5.1 steps
-    /// 1–4 plus the pull). Returns `(s_local, s_global, outcome)` for the
-    /// trace.
-    fn balance(&mut self, sys: &mut System, local: CoreId) -> (f64, f64, ActivationOutcome) {
+    /// One activation of the balancer thread on ring slot `slot` (paper
+    /// §5.1 steps 1–4 plus the pull). Returns `(s_local, s_global,
+    /// outcome)` for the trace.
+    fn balance(&mut self, sys: &mut System, slot: usize) -> (f64, f64, ActivationOutcome) {
         let now = sys.now();
+        let local = self.cores[slot];
         self.stats.borrow_mut().activations += 1;
-        self.activations[local.0] += 1;
-        self.note_activation(local);
+        let pc = &mut self.slots[slot];
+        pc.activations += 1;
+        pc.block.tick();
         // Per-domain interval tiers (§5): cross-cache pulls only on every
         // `cross_cache_interval_mult`-th activation, so within-cache
         // migrations happen proportionally more often.
-        let allow_cross_cache = self.cfg.cross_cache_interval_mult <= 1
-            || self.activations[local.0]
+        let cross_cache = self.cfg.cross_cache_interval_mult <= 1
+            || pc
+                .activations
                 .is_multiple_of(u64::from(self.cfg.cross_cache_interval_mult));
 
         // Steps 1–2: thread speeds and local core speed.
-        let s_local = self.measure_core(sys, local);
-        if let Some(p) = self.per_core[local.0].as_mut() {
-            p.published = s_local;
-        }
-        // Step 3: global core speed.
-        let s_global = self.global_speed();
-        // Step 4: only a faster-than-average core pulls.
-        if s_local <= s_global || s_global <= 0.0 {
-            return (s_local, s_global, ActivationOutcome::BelowAverage);
-        }
-        self.stats.borrow_mut().balance_attempts += 1;
-        if self.in_migration_block(local, now) {
-            self.stats.borrow_mut().blocked_recent += 1;
-            return (s_local, s_global, ActivationOutcome::Blocked);
-        }
-
-        // Find the slowest suitable remote core: speed below threshold, not
-        // recently involved in a migration, NUMA-compatible, and actually
-        // hosting a managed thread to pull. Candidates are scanned in ring
-        // order starting just past the local core: with measurement noise
-        // off, equally-loaded cores publish *exactly* equal speeds, and a
-        // fixed scan order would resolve every tie toward the lowest core
-        // index, starving the highest-indexed slow queue forever (the
-        // Lemma 1 conformance sweep in `speedbal-check` caught precisely
-        // that). Starting each core's scan at its own successor makes the
-        // tie-break depend on the puller, so rotation covers every core.
-        let cores = self.cores.clone();
-        let start = cores.iter().position(|&c| c == local).map_or(0, |i| i + 1);
-        let mut best: Option<(f64, CoreId)> = None;
-        let mut saw_blocked = false;
-        for off in 0..cores.len() {
-            let k = cores[(start + off) % cores.len()];
-            if k == local {
-                continue;
-            }
-            let Some(pc) = self.per_core[k.0].as_ref() else {
-                continue;
-            };
-            let s_k = pc.published;
-            if s_k / s_global >= self.cfg.speed_threshold {
-                continue;
-            }
-            if self.cfg.block_numa_migrations && sys.topology().crosses_numa(k, local) {
-                self.stats.borrow_mut().numa_blocked += 1;
-                continue;
-            }
-            if !allow_cross_cache
-                && sys.topology().common_level(k, local) > speedbal_machine::DomainLevel::Cache
-            {
-                continue;
-            }
-            if self.in_migration_block(k, now) {
-                saw_blocked = true;
-                continue;
-            }
-            if self.managed_tasks_on(sys, k).is_empty() {
-                continue;
-            }
-            if best.is_none_or(|(bs, _)| s_k < bs) {
-                best = Some((s_k, k));
-            }
-        }
-        let Some((best_s_k, victim_core)) = best else {
-            let mut st = self.stats.borrow_mut();
-            let outcome = if saw_blocked {
-                st.blocked_recent += 1;
-                ActivationOutcome::Blocked
-            } else {
-                st.no_candidate += 1;
-                ActivationOutcome::NoCandidate
-            };
-            return (s_local, s_global, outcome);
+        let s_local = self.measure_core(sys, slot);
+        self.slots[slot].published = s_local;
+        // Steps 3–4 and the victim choice.
+        let rules = Rules {
+            speed_threshold: self.cfg.speed_threshold,
+            block_numa: self.cfg.block_numa_migrations,
+            cross_cache,
         };
-
-        // Pull the thread that has migrated the least, to avoid creating
-        // "hot-potato" tasks.
-        let candidates = self.managed_tasks_on(sys, victim_core);
-        let victim = candidates
-            .into_iter()
-            .min_by_key(|t| (sys.task_migrations(*t), t.0))
-            .expect("victim core verified non-empty");
+        // Shared reborrows, copied into the closures below.
+        let (me, view_sys) = (&*self, &*sys);
+        let (cores, topo) = (&me.cores, view_sys.topology());
+        let view = View {
+            len: cores.len(),
+            speed: move |k: usize| me.slots[k].published,
+            block: move |k: usize| me.slots[k].block,
+            crosses_numa: move |k: usize| topo.crosses_numa(cores[k], local),
+            crosses_cache: move |k: usize| topo.common_level(cores[k], local) > DomainLevel::Cache,
+            threads: move |k: usize| {
+                me.managed_on(view_sys, cores[k])
+                    .map(move |t| (view_sys.task_migrations(t), t))
+            },
+        };
+        let verdict = decision::decide(&rules, &view, slot, s_local, now.as_nanos());
+        let s_global = verdict.global;
+        let mut st = self.stats.borrow_mut();
+        st.numa_blocked += verdict.numa_blocked;
+        st.balance_attempts += u64::from(verdict.decision != Decision::BelowAverage);
+        let Decision::Pull {
+            slot: victim_slot,
+            speed: best_s_k,
+            thread: victim,
+        } = verdict.decision
+        else {
+            match verdict.decision {
+                Decision::Blocked => st.blocked_recent += 1,
+                Decision::NoCandidate => st.no_candidate += 1,
+                _ => {}
+            }
+            return (s_local, s_global, verdict.decision.outcome());
+        };
+        st.migrations += 1;
+        let victim_core = self.cores[victim_slot];
+        if sys.topology().common_level(victim_core, local) <= DomainLevel::Cache {
+            st.migrations_within_cache += 1;
+        } else {
+            st.migrations_cross_cache += 1;
+        }
+        drop(st);
 
         // sched_setaffinity: immediate migration, re-pinned to the local
         // core so the kernel balancer can never undo the move.
@@ -382,28 +298,17 @@ impl SpeedBalancer {
                 global_speed: s_global,
             },
         );
-        {
-            let mut st = self.stats.borrow_mut();
-            st.migrations += 1;
-            if sys.topology().common_level(victim_core, local)
-                <= speedbal_machine::DomainLevel::Cache
-            {
-                st.migrations_within_cache += 1;
-            } else {
-                st.migrations_cross_cache += 1;
-            }
-        }
-        for c in [local, victim_core] {
-            if let Some(p) = self.per_core[c.0].as_mut() {
-                p.last_migration = Some(now);
-                p.blocked_activations = self.cfg.post_migration_block;
-            }
+        let interval = self.cfg.interval.as_nanos();
+        for s in [slot, victim_slot] {
+            self.slots[s].block =
+                Block::after_migration(now.as_nanos(), interval, self.cfg.post_migration_block);
         }
         // Post-migration, both cores' thread sets changed: restart their
         // measurement windows so the next activation sees a full interval
         // of fresh data.
         for c in [local, victim_core] {
-            for t in self.managed_tasks_on(sys, c) {
+            let tasks: Vec<TaskId> = self.managed_on(sys, c).collect();
+            for t in tasks {
                 let exec = sys.task_exec_total(t);
                 *self.snapshot_mut(t) = Some(Snapshot { exec, time: now });
             }
@@ -433,15 +338,14 @@ impl Balancer for SpeedBalancer {
         if self.cores.is_empty() {
             self.cores = sys.topology().core_ids().collect();
         }
-        self.per_core = vec![None; sys.n_cores()];
-        self.activations = vec![0; sys.n_cores()];
-        for &c in &self.cores {
-            self.per_core[c.0] = Some(PerCore {
+        self.slots = vec![
+            PerCore {
                 published: 1.0,
-                last_migration: None,
-                blocked_activations: 0,
-            });
-        }
+                block: Block::default(),
+                activations: 0,
+            };
+            self.cores.len()
+        ];
         // Stagger the first activations like independent threads starting.
         let startup = self.cfg.startup_delay;
         for &c in &self.cores.clone() {
@@ -457,14 +361,12 @@ impl Balancer for SpeedBalancer {
     /// Round-robin initial distribution over the managed cores, hard-pinned
     /// (see [`Balancer::pin_on_place`]).
     fn place_task(&mut self, sys: &mut System, task: TaskId) -> CoreId {
-        let cores = if self.cores.is_empty() {
-            sys.topology().core_ids().collect()
-        } else {
-            self.cores.clone()
-        };
-        let n = cores.len();
+        if self.cores.is_empty() {
+            self.cores = sys.topology().core_ids().collect();
+        }
+        let n = self.cores.len();
         for off in 0..n {
-            let c = cores[(self.next_rr + off) % n];
+            let c = self.cores[(self.next_rr + off) % n];
             if sys.task_may_run_on(task, c) {
                 self.next_rr = (self.next_rr + off + 1) % n;
                 // Start the measurement window at spawn.
@@ -486,8 +388,8 @@ impl Balancer for SpeedBalancer {
             return;
         }
         let core = CoreId(keys::index(key));
-        if self.per_core.get(core.0).is_some_and(|p| p.is_some()) {
-            let (local, global, outcome) = self.balance(sys, core);
+        if let Some(slot) = self.cores.iter().position(|&c| c == core) {
+            let (local, global, outcome) = self.balance(sys, slot);
             let jitter = self.arm_timer(sys, core);
             sys.trace_event(
                 core,
@@ -865,10 +767,10 @@ mod tests {
             .collect();
         bal.on_start(&mut sys);
         sys.run_until(SimTime::from_millis(100));
-        bal.balance(&mut sys, CoreId(0));
+        bal.balance(&mut sys, 0);
         sys.run_until(SimTime::from_millis(200));
-        bal.balance(&mut sys, CoreId(0));
-        let published = bal.per_core[0].as_ref().unwrap().published;
+        bal.balance(&mut sys, 0);
+        let published = bal.slots[0].published;
         // Two tasks sharing the core: each gets ~half the window.
         assert!(
             (published - 0.5).abs() < 0.05,
@@ -882,7 +784,7 @@ mod tests {
             let exec = sys.task_exec_total(t);
             *bal.snapshot_mut(t) = Some(Snapshot { exec, time: now });
         }
-        let held = bal.measure_core(&mut sys, CoreId(0));
+        let held = bal.measure_core(&mut sys, 0);
         assert!(
             (held - published).abs() < 1e-12,
             "zero-width windows must hold the published {published}, got {held}"
@@ -892,39 +794,42 @@ mod tests {
     #[test]
     fn migration_block_spans_jittered_activations() {
         // The post-migration block must last until BOTH the nominal
-        // 2-interval wall time has passed AND the core's balancer thread
-        // has completed 2 activations — jitter can stretch the activation
-        // gap to 2 intervals, so either test alone under-enforces.
-        let cfg = SpeedBalancerConfig::exact(); // interval 100 ms, block 2
-        let mut bal = SpeedBalancer::with_config(cfg, 31);
-        bal.per_core = vec![
-            Some(PerCore {
-                published: 1.0,
-                last_migration: Some(SimTime::ZERO),
-                blocked_activations: bal.cfg.post_migration_block,
-            }),
-            Some(PerCore {
-                published: 1.0,
-                last_migration: Some(SimTime::ZERO),
-                blocked_activations: 0,
-            }),
-        ];
-        // Core 0: past the nominal wall-clock block, but its own thread has
-        // not completed 2 activations yet — still blocked.
-        let after_wall = SimTime::ZERO + SimDuration::from_millis(201);
-        assert!(bal.in_migration_block(CoreId(0), after_wall));
-        bal.note_activation(CoreId(0));
-        assert!(
-            bal.in_migration_block(CoreId(0), after_wall),
-            "one jittered activation must not lift a 2-activation block"
+        // 2-interval time has passed AND the core's balancer thread has
+        // completed 2 activations — jitter can stretch the activation gap
+        // to 2 intervals, so either test alone under-enforces. Core 0 (one
+        // task, fast) would pull from core 1 (two tasks, slow) but was
+        // part of a migration at time zero.
+        let mut bal = SpeedBalancer::with_config(SpeedBalancerConfig::exact(), 31);
+        let stats = bal.stats_handle();
+        let mut sys = System::new(
+            uniform(2),
+            SchedConfig::default(),
+            CostModel::free(),
+            Box::new(speedbal_sched::NullBalancer::new()),
+            31,
         );
-        bal.note_activation(CoreId(0));
-        assert!(!bal.in_migration_block(CoreId(0), after_wall));
-        // Core 1: activations already elapsed, but the nominal wall time
-        // has not — still blocked, then clear.
-        let mid_wall = SimTime::ZERO + SimDuration::from_millis(150);
-        assert!(bal.in_migration_block(CoreId(1), mid_wall));
-        assert!(!bal.in_migration_block(CoreId(1), after_wall));
+        let g = sys.new_group();
+        for (i, core) in [0, 1, 1].into_iter().enumerate() {
+            sys.spawn(
+                SpawnSpec::new(spmd_compute(SimDuration::from_secs(10)), format!("t{i}"), g)
+                    .pin(CoreId(core)),
+            );
+        }
+        bal.on_start(&mut sys);
+        let interval = bal.cfg.interval.as_nanos();
+        bal.slots[0].block = Block::after_migration(0, interval, bal.cfg.post_migration_block);
+        bal.slots[1].published = 0.5;
+        // Past the nominal block, but only the first of core 0's own
+        // activations: still blocked.
+        sys.run_until(SimTime::from_millis(201));
+        let (_, _, outcome) = bal.balance(&mut sys, 0);
+        assert_eq!(outcome, ActivationOutcome::Blocked);
+        assert_eq!(stats.borrow().blocked_recent, 1);
+        // The second activation lifts it.
+        sys.run_until(SimTime::from_millis(250));
+        let (_, _, outcome) = bal.balance(&mut sys, 0);
+        assert_eq!(outcome, ActivationOutcome::Pulled);
+        assert_eq!(stats.borrow().migrations, 1);
     }
 
     #[test]

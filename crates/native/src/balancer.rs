@@ -23,8 +23,9 @@ use crate::error::ProcError;
 use crate::source::{ProcSource, RealProc};
 use crate::topo::NativeTopology;
 use parking_lot::Mutex;
+use speedbal_core::decision::{self, Block, Decision, Rules, View};
 use speedbal_machine::{CoreId, DomainLevel};
-use speedbal_sim::SimTime;
+use speedbal_sim::{SimDuration, SimRng, SimTime};
 use speedbal_trace::{
     ActivationOutcome, MigrationReason, ProcFaultKind, ProcOp, TraceBuffer, TraceConfig, TraceEvent,
 };
@@ -124,6 +125,9 @@ struct ThreadTable {
     /// that sum keeps constant parity while both terms grow, landing
     /// every new thread on the same core.)
     next_slot: usize,
+    /// Post-migration block of each managed core, by slot (source-clock
+    /// nanoseconds).
+    blocks: Vec<Block>,
 }
 
 struct Shared {
@@ -131,8 +135,6 @@ struct Shared {
     /// Published per-core speed, as f64 bits (index = position in cores).
     /// NaN = "no data": the core abstains from the global average.
     published: Vec<AtomicU64>,
-    /// Millis (source clock) of each core's last migration involvement.
-    last_migration: Vec<AtomicU64>,
     stats: NativeStats,
     /// Event recorder using the simulator's schema, timestamped with
     /// source-clock nanoseconds. `None` = tracing off.
@@ -140,6 +142,19 @@ struct Shared {
 }
 
 impl Shared {
+    /// State for `n` managed cores: no data, no blocks, no threads.
+    fn new(n: usize, trace: Option<TraceBuffer>) -> Shared {
+        Shared {
+            threads: Mutex::new(ThreadTable {
+                blocks: vec![Block::default(); n],
+                ..ThreadTable::default()
+            }),
+            published: (0..n).map(|_| AtomicU64::new(f64::NAN.to_bits())).collect(),
+            stats: NativeStats::default(),
+            trace: trace.map(Mutex::new),
+        }
+    }
+
     fn trace_event(&self, now: Duration, cpu: usize, event: TraceEvent) {
         if let Some(buf) = &self.trace {
             let now = SimTime::from_nanos(now.as_nanos() as u64);
@@ -161,36 +176,6 @@ impl Shared {
 
     fn speed_of(&self, slot: usize) -> f64 {
         f64::from_bits(self.published[slot].load(Ordering::Relaxed))
-    }
-
-    /// Mean speed over cores that have data. Cores publishing NaN (all
-    /// their threads vanished or are quarantined) drop out of the average
-    /// instead of poisoning it; `None` when *no* core has data.
-    fn global_speed(&self) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for i in 0..self.published.len() {
-            let s = self.speed_of(i);
-            if s.is_finite() {
-                sum += s;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
-    }
-
-    fn mark_migration(&self, now: Duration, slot: usize) {
-        let ms = now.as_millis() as u64;
-        self.last_migration[slot].store(ms.max(1), Ordering::Relaxed);
-    }
-
-    fn in_block(&self, now: Duration, slot: usize, block: Duration) -> bool {
-        let last = self.last_migration[slot].load(Ordering::Relaxed);
-        if last == 0 {
-            return false;
-        }
-        let now_ms = now.as_millis() as u64;
-        now_ms.saturating_sub(last) < block.as_millis() as u64
     }
 
     // One parameter per TraceEvent::ProcFault field, deliberately.
@@ -247,19 +232,6 @@ impl Drop for WorkerGuard<'_> {
     }
 }
 
-/// A tiny xorshift for interval jitter (no determinism requirement here —
-/// the jitter exists precisely to decorrelate balancers).
-fn jitter_ms(state: &mut u64, max_ms: u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    if max_ms == 0 {
-        0
-    } else {
-        *state % (max_ms + 1)
-    }
-}
-
 impl NativeSpeedBalancer {
     /// Attaches to a running process through the real `/proc`, with the
     /// machine discovered from sysfs.
@@ -296,30 +268,24 @@ impl NativeSpeedBalancer {
         }
     }
 
-    /// Reads one thread's CPU time with bounded retry-with-backoff on
+    /// Runs one OS-facing operation with bounded retry-with-backoff on
     /// transient failures. Records every failed attempt as a fault event.
-    fn read_times_retrying(
+    fn retrying<T>(
         &self,
         shared: &Shared,
         cpu: usize,
-        tid: i32,
-    ) -> Result<crate::proc::ThreadTimes, ProcError> {
+        tid: Option<i32>,
+        op: ProcOp,
+        call: impl Fn() -> Result<T, ProcError>,
+    ) -> Result<T, ProcError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match self.src.thread_cpu_time(self.pid, tid) {
-                Ok(t) => return Ok(t),
+            match call() {
+                Ok(v) => return Ok(v),
                 Err(e) => {
                     let retrying = e.is_transient() && attempt <= self.cfg.max_read_retries;
-                    shared.fault(
-                        self.src.now(),
-                        cpu,
-                        Some(tid),
-                        ProcOp::ReadCpuTime,
-                        &e,
-                        attempt,
-                        retrying,
-                    );
+                    shared.fault(self.src.now(), cpu, tid, op, &e, attempt, retrying);
                     if !retrying {
                         return Err(e);
                     }
@@ -330,48 +296,26 @@ impl NativeSpeedBalancer {
         }
     }
 
-    /// Lists the target's threads with bounded retry on transient errors.
-    fn list_tids_retrying(&self, shared: &Shared, cpu: usize) -> Result<Vec<i32>, ProcError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.src.list_tids(self.pid) {
-                Ok(tids) => return Ok(tids),
-                Err(e) => {
-                    let retrying = e.is_transient() && attempt <= self.cfg.max_read_retries;
-                    shared.fault(
-                        self.src.now(),
-                        cpu,
-                        None,
-                        ProcOp::ListThreads,
-                        &e,
-                        attempt,
-                        retrying,
-                    );
-                    if !retrying {
-                        return Err(e);
-                    }
-                    self.src
-                        .sleep(self.cfg.retry_backoff * (1 << (attempt - 1).min(8)));
-                }
-            }
-        }
-    }
-
-    /// Moves a live thread into quarantine (dropping it from accounting)
-    /// once its failure streak crosses the threshold. Caller holds the
-    /// table lock.
-    fn maybe_quarantine(
+    /// Counts one more failed operation against `tid` — in its live
+    /// sample, or in the adoption streak table before it is adopted — and
+    /// quarantines it (dropping it from accounting) once the streak reaches
+    /// `quarantine_after`. Caller holds the table lock.
+    fn note_failure(
         &self,
         shared: &Shared,
         table: &mut ThreadTable,
         now: Duration,
         cpu: usize,
         tid: i32,
-        failures: u32,
-    ) -> bool {
+    ) {
+        let failures = match table.live.get_mut(&tid) {
+            Some(s) => &mut s.failures,
+            None => table.adopt_failures.entry(tid).or_insert(0),
+        };
+        *failures += 1;
+        let failures = *failures;
         if failures < self.cfg.quarantine_after {
-            return false;
+            return;
         }
         table.live.remove(&tid);
         table.adopt_failures.remove(&tid);
@@ -379,15 +323,8 @@ impl NativeSpeedBalancer {
             .quarantined
             .insert(tid, now + self.cfg.quarantine_cooldown);
         shared.stats.quarantines.fetch_add(1, Ordering::Relaxed);
-        shared.trace_event(
-            now,
-            cpu,
-            TraceEvent::Quarantined {
-                task: tid as usize,
-                failures,
-            },
-        );
-        true
+        let task = tid as usize;
+        shared.trace_event(now, cpu, TraceEvent::Quarantined { task, failures });
     }
 
     /// Discovers (new) threads of the target and pins them round-robin —
@@ -398,7 +335,9 @@ impl NativeSpeedBalancer {
     /// and EPERM placements count toward quarantine instead of looping.
     fn adopt_threads(&self, shared: &Shared, cores: &[usize]) -> usize {
         let scan_cpu = cores[0];
-        let Ok(tids) = self.list_tids_retrying(shared, scan_cpu) else {
+        let Ok(tids) = self.retrying(shared, scan_cpu, None, ProcOp::ListThreads, || {
+            self.src.list_tids(self.pid)
+        }) else {
             return 0;
         };
         let now = self.src.now();
@@ -428,28 +367,22 @@ impl NativeSpeedBalancer {
         };
         let mut adopted = 0;
         for (tid, core) in candidates {
-            match self.src.pin_to_cpu(tid, core) {
-                Ok(()) => {}
-                Err(e @ ProcError::Vanished) => {
-                    // Raced with thread exit: not a failure streak.
-                    shared.fault(now, scan_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
-                    continue;
-                }
-                Err(e) => {
-                    shared.fault(now, scan_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
+            if let Err(e) = self.src.pin_to_cpu(tid, core) {
+                shared.fault(now, scan_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
+                // A race with thread exit is not a failure streak.
+                if !matches!(e, ProcError::Vanished) {
                     let mut table = shared.threads.lock();
-                    let failures = table.adopt_failures.entry(tid).or_insert(0);
-                    *failures += 1;
-                    let failures = *failures;
-                    self.maybe_quarantine(shared, &mut table, now, scan_cpu, tid, failures);
-                    continue;
+                    self.note_failure(shared, &mut table, now, scan_cpu, tid);
                 }
+                continue;
             }
             // Transient read failures here are retried by the helper; a
             // final failure just starts the sample at zero (the first
             // measurement window will correct it).
             let exec = self
-                .read_times_retrying(shared, scan_cpu, tid)
+                .retrying(shared, scan_cpu, Some(tid), ProcOp::ReadCpuTime, || {
+                    self.src.thread_cpu_time(self.pid, tid)
+                })
                 .map(|t| t.total())
                 .unwrap_or_default();
             let at = self.src.now();
@@ -477,10 +410,9 @@ impl NativeSpeedBalancer {
 
     /// One activation of the balancer for `slot` (= index into `cores`):
     /// measure, publish, maybe pull one thread.
-    fn balance_once(&self, shared: &Shared, cores: &[usize], slot: usize, jitter: Duration) {
+    fn balance_once(&self, shared: &Shared, cores: &[usize], slot: usize, jitter: SimDuration) {
         shared.stats.activations.fetch_add(1, Ordering::Relaxed);
         let local_cpu = cores[slot];
-        let jitter_sim = speedbal_sim::SimDuration::from_nanos(jitter.as_nanos() as u64);
         let activation = |local: f64, global: f64, outcome: ActivationOutcome| {
             shared.trace_event(
                 self.src.now(),
@@ -490,7 +422,7 @@ impl NativeSpeedBalancer {
                     local,
                     global,
                     outcome,
-                    jitter: jitter_sim,
+                    jitter,
                 },
             );
         };
@@ -509,33 +441,34 @@ impl NativeSpeedBalancer {
             .filter(|(_, s)| s.core == local_cpu)
             .map(|(tid, _)| *tid)
             .collect();
-        let mut vanished: Vec<i32> = Vec::new();
-        let mut failed: Vec<i32> = Vec::new();
-        let mut measured: Vec<(i32, Duration)> = Vec::new();
-        for tid in tids {
-            match self.read_times_retrying(shared, local_cpu, tid) {
-                Ok(t) => measured.push((tid, t.total())),
-                Err(ProcError::Vanished) => vanished.push(tid),
-                Err(_) => failed.push(tid),
-            }
-        }
+        let reads: Vec<(i32, Result<Duration, ProcError>)> = tids
+            .into_iter()
+            .map(|tid| {
+                let read = || self.src.thread_cpu_time(self.pid, tid);
+                let read = self.retrying(shared, local_cpu, Some(tid), ProcOp::ReadCpuTime, read);
+                (tid, read.map(|t| t.total()))
+            })
+            .collect();
         let now = self.src.now();
-        let mut local_speeds = Vec::new();
+        let (mut sum, mut n) = (0.0, 0u32);
         {
             let mut table = shared.threads.lock();
-            // Churn: threads that exited mid-scan are simply forgotten —
-            // the next adopt pass re-lists the survivors.
-            for tid in vanished {
-                table.live.remove(&tid);
-            }
-            for tid in failed {
-                if let Some(s) = table.live.get_mut(&tid) {
-                    s.failures += 1;
-                    let failures = s.failures;
-                    self.maybe_quarantine(shared, &mut table, now, local_cpu, tid, failures);
-                }
-            }
-            for (tid, total) in measured {
+            table.blocks[slot].tick();
+            for (tid, read) in reads {
+                let total = match read {
+                    Ok(total) => total,
+                    // Churn: threads that exited mid-scan are simply
+                    // forgotten — the next adopt pass re-lists the
+                    // survivors.
+                    Err(ProcError::Vanished) => {
+                        table.live.remove(&tid);
+                        continue;
+                    }
+                    Err(_) => {
+                        self.note_failure(shared, &mut table, now, local_cpu, tid);
+                        continue;
+                    }
+                };
                 let Some(sample) = table.live.get_mut(&tid) else {
                     continue;
                 };
@@ -548,28 +481,19 @@ impl NativeSpeedBalancer {
                     continue; // stale window (e.g. just migrated here)
                 }
                 let exec_delta = total.saturating_sub(sample.exec);
-                let speed = exec_delta.as_secs_f64() / wall.as_secs_f64();
+                let speed = (exec_delta.as_secs_f64() / wall.as_secs_f64()).min(1.5);
                 sample.exec = total;
                 sample.at = now;
-                local_speeds.push(speed.min(1.5));
-                shared.trace_event(
-                    now,
-                    local_cpu,
-                    TraceEvent::SpeedSample {
-                        task: Some(tid as usize),
-                        speed: speed.min(1.5),
-                    },
-                );
+                sum += speed;
+                n += 1;
+                let task = Some(tid as usize);
+                shared.trace_event(now, local_cpu, TraceEvent::SpeedSample { task, speed });
             }
         }
-        // Graceful degradation: no measurable threads -> publish "no
+        // Graceful degradation: no measurable threads -> 0/0 = NaN, "no
         // data"; this core abstains from the global average rather than
         // reporting a fabricated speed.
-        let s_local = if local_speeds.is_empty() {
-            f64::NAN
-        } else {
-            local_speeds.iter().sum::<f64>() / local_speeds.len() as f64
-        };
+        let s_local = sum / f64::from(n);
         shared.publish(slot, s_local);
         if s_local.is_finite() {
             shared.trace_event(
@@ -582,82 +506,53 @@ impl NativeSpeedBalancer {
             );
         }
 
-        // Steps 3-4.
-        let Some(s_global) = shared.global_speed() else {
-            activation(s_local, f64::NAN, ActivationOutcome::BelowAverage);
-            return;
+        // Steps 3-4 and the victim choice. The table lock is held from the
+        // scan to the re-pin, so the victim's threads cannot change under
+        // the decision.
+        let mut table = shared.threads.lock();
+        let tab = &*table;
+        let view = View {
+            len: cores.len(),
+            speed: |k: usize| shared.speed_of(k),
+            block: |k: usize| tab.blocks[k],
+            crosses_numa: |k: usize| self.topo.crosses_numa(cores[k], local_cpu),
+            // No cache tiers natively: every activation may cross caches.
+            crosses_cache: |_: usize| false,
+            threads: |k: usize| {
+                tab.live
+                    .iter()
+                    .filter(move |(_, s)| s.core == cores[k])
+                    .map(|(tid, s)| (s.migrations, *tid))
+            },
         };
-        if !s_local.is_finite() || s_local <= s_global || s_global <= 0.0 {
-            activation(s_local, s_global, ActivationOutcome::BelowAverage);
-            return;
-        }
-        let block = self.cfg.interval * self.cfg.post_migration_block;
-        if shared.in_block(now, slot, block) {
-            activation(s_local, s_global, ActivationOutcome::Blocked);
-            return;
-        }
-        let mut best: Option<(f64, usize)> = None;
-        for (k, &cpu) in cores.iter().enumerate() {
-            if k == slot {
-                continue;
-            }
-            let s_k = shared.speed_of(k);
-            if !s_k.is_finite() {
-                continue; // no data: cannot judge it a victim
-            }
-            if s_k / s_global >= self.cfg.speed_threshold {
-                continue;
-            }
-            if self.cfg.block_numa && self.topo.crosses_numa(cpu, local_cpu) {
-                continue;
-            }
-            if shared.in_block(now, k, block) {
-                continue;
-            }
-            if best.is_none_or(|(bs, _)| s_k < bs) {
-                best = Some((s_k, k));
-            }
-        }
-        let Some((best_s_k, victim_slot)) = best else {
-            activation(s_local, s_global, ActivationOutcome::NoCandidate);
+        let rules = Rules {
+            speed_threshold: self.cfg.speed_threshold,
+            block_numa: self.cfg.block_numa,
+            cross_cache: true,
+        };
+        let verdict = decision::decide(&rules, &view, slot, s_local, now.as_nanos() as u64);
+        let s_global = verdict.global;
+        let Decision::Pull {
+            slot: victim_slot,
+            speed: best_s_k,
+            thread: tid,
+        } = verdict.decision
+        else {
+            drop(table);
+            activation(s_local, s_global, verdict.decision.outcome());
             return;
         };
         let victim_cpu = cores[victim_slot];
-
-        // Pull the least-migrated thread from the victim core.
-        let mut table = shared.threads.lock();
-        let Some((&tid, _)) = table
-            .live
-            .iter()
-            .filter(|(_, s)| s.core == victim_cpu)
-            .min_by_key(|(tid, s)| (s.migrations, **tid))
-        else {
+        if let Err(e) = self.src.pin_to_cpu(tid, local_cpu) {
+            shared.fault(now, local_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
+            if matches!(e, ProcError::Vanished) {
+                table.live.remove(&tid);
+            } else {
+                self.note_failure(shared, &mut table, now, local_cpu, tid);
+            }
             drop(table);
             activation(s_local, s_global, ActivationOutcome::NoCandidate);
             return;
-        };
-        match self.src.pin_to_cpu(tid, local_cpu) {
-            Ok(()) => {}
-            Err(e) => {
-                shared.fault(now, local_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
-                match e {
-                    ProcError::Vanished => {
-                        table.live.remove(&tid);
-                    }
-                    _ => {
-                        if let Some(s) = table.live.get_mut(&tid) {
-                            s.failures += 1;
-                            let failures = s.failures;
-                            self.maybe_quarantine(
-                                shared, &mut table, now, local_cpu, tid, failures,
-                            );
-                        }
-                    }
-                }
-                drop(table);
-                activation(s_local, s_global, ActivationOutcome::NoCandidate);
-                return;
-            }
         }
         if let Some(s) = table.live.get_mut(&tid) {
             s.core = local_cpu;
@@ -667,10 +562,15 @@ impl NativeSpeedBalancer {
                 s.exec = t.total();
             }
         }
+        let block = Block::after_migration(
+            now.as_nanos() as u64,
+            self.cfg.interval.as_nanos() as u64,
+            self.cfg.post_migration_block,
+        );
+        table.blocks[slot] = block;
+        table.blocks[victim_slot] = block;
         drop(table);
         shared.stats.migrations.fetch_add(1, Ordering::Relaxed);
-        shared.mark_migration(now, slot);
-        shared.mark_migration(now, victim_slot);
         shared.trace_event(
             now,
             local_cpu,
@@ -714,19 +614,12 @@ impl NativeSpeedBalancer {
         trace: Option<TraceConfig>,
     ) -> (NativeStats, Option<TraceBuffer>) {
         let cores = self.managed_cores();
-        let shared = Shared {
-            threads: Mutex::new(ThreadTable::default()),
-            published: (0..cores.len())
-                .map(|_| AtomicU64::new(f64::NAN.to_bits()))
-                .collect(),
-            last_migration: (0..cores.len()).map(|_| AtomicU64::new(0)).collect(),
-            stats: NativeStats::default(),
-            trace: trace.map(|cfg| {
-                let mut buf = TraceBuffer::with_config(cfg);
-                buf.set_n_cores(cores.iter().max().map_or(0, |m| m + 1));
-                Mutex::new(buf)
-            }),
-        };
+        let trace = trace.map(|cfg| {
+            let mut buf = TraceBuffer::with_config(cfg);
+            buf.set_n_cores(cores.iter().max().map_or(0, |m| m + 1));
+            buf
+        });
+        let shared = Shared::new(cores.len(), trace);
         self.src.sleep(self.cfg.startup_delay);
         self.adopt_threads(&shared, &cores);
 
@@ -749,13 +642,17 @@ impl NativeSpeedBalancer {
                     // SAFETY: trivial syscall.
                     let self_tid = unsafe { libc::gettid() };
                     let _ = self.src.pin_to_cpu(self_tid, cores[slot]);
-                    let mut rng_state = 0x9E3779B97F4A7C15u64 ^ (slot as u64 + 1) ^ self_tid as u64;
+                    // The jitter only decorrelates balancers; its seed need
+                    // not be reproducible.
+                    let mut rng = SimRng::new(slot as u64 ^ self_tid as u64);
+                    let interval = SimDuration::from_nanos(self.cfg.interval.as_nanos() as u64);
                     let slice = Duration::from_millis(5);
                     while !stop.load(Ordering::Relaxed) && self.src.process_alive(self.pid) {
-                        let base = self.cfg.interval.as_millis() as u64;
-                        let jitter = jitter_ms(&mut rng_state, base);
+                        let jitter = rng.jitter(interval);
                         // Sleep in short slices so shutdown is prompt.
-                        let deadline = self.src.now() + Duration::from_millis(base + jitter);
+                        let deadline = self.src.now()
+                            + self.cfg.interval
+                            + Duration::from_nanos(jitter.as_nanos());
                         loop {
                             let now = self.src.now();
                             if now >= deadline {
@@ -771,7 +668,7 @@ impl NativeSpeedBalancer {
                             // threads (a single scanner suffices).
                             self.adopt_threads(shared, cores);
                         }
-                        self.balance_once(shared, cores, slot, Duration::from_millis(jitter));
+                        self.balance_once(shared, cores, slot, jitter);
                     }
                 });
             }
@@ -791,13 +688,97 @@ mod tests {
     use crate::mock::{Fault, GlobalFault, MockProc};
     use std::sync::Arc;
 
-    #[test]
-    fn jitter_is_bounded() {
-        let mut s = 42u64;
-        for _ in 0..1000 {
-            assert!(jitter_ms(&mut s, 100) <= 100);
+    /// A balancer over a fresh mock with one thread per entry of
+    /// `placement` (tids 1, 2, ..., pinned to the given CPUs and adopted at
+    /// time zero) and the shared state its loops would run on. No worker
+    /// thread starts: tests drive `balance_once` by hand, advancing the
+    /// mock's virtual clock with `sleep`.
+    fn prepared(
+        n_cpus: usize,
+        placement: &[usize],
+    ) -> (Arc<MockProc>, NativeSpeedBalancer, Shared, Vec<usize>) {
+        let mut builder = MockProc::builder(900, n_cpus);
+        for tid in 1..=placement.len() {
+            builder = builder.thread(tid as i32);
         }
-        assert_eq!(jitter_ms(&mut s, 0), 0);
+        let mock = Arc::new(builder.build());
+        let topo = mock.topology();
+        let bal = NativeSpeedBalancer::attach_with_source(
+            900,
+            NativeConfig::default(),
+            mock.clone(),
+            topo,
+        )
+        .expect("attach");
+        let shared = Shared::new(n_cpus, None);
+        let mut table = shared.threads.lock();
+        for (i, &cpu) in placement.iter().enumerate() {
+            let tid = i as i32 + 1;
+            mock.pin_to_cpu(tid, cpu).expect("pin");
+            table.live.insert(
+                tid,
+                ThreadSample {
+                    exec: Duration::ZERO,
+                    at: Duration::ZERO,
+                    core: cpu,
+                    migrations: 0,
+                    failures: 0,
+                },
+            );
+        }
+        drop(table);
+        (mock, bal, shared, (0..n_cpus).collect())
+    }
+
+    fn migrations(shared: &Shared) -> u64 {
+        shared.stats.migrations.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn tied_victims_rotate_with_the_puller() {
+        // Slots 1, 3 and 4 publish exactly 0.5. Slot 2 measures its own
+        // thread at full speed and pulls; the scan starts just past the
+        // puller, so the victim is slot 3. A scan from slot 0 picks slot 1
+        // for every puller and starves slot 4.
+        let (mock, bal, shared, cores) = prepared(5, &[0, 1, 2, 3, 4]);
+        for (slot, speed) in [1.0, 0.5, 1.0, 0.5, 0.5].into_iter().enumerate() {
+            shared.publish(slot, speed);
+        }
+        mock.sleep(Duration::from_millis(100));
+        bal.balance_once(&shared, &cores, 2, SimDuration::ZERO);
+        assert_eq!(migrations(&shared), 1);
+        assert_eq!(mock.thread_cpu(4), Some(2), "slot 3's thread is pulled");
+        assert_eq!(mock.thread_cpu(2), Some(1), "slot 1 keeps its thread");
+    }
+
+    #[test]
+    fn block_lasts_two_own_activations_past_its_nominal_time() {
+        // CPU 0 runs one thread, CPU 1 three, CPU 2 one; interval 100 ms,
+        // block 2. At 100 ms slot 0 pulls from slot 1, blocking both.
+        let (mock, bal, shared, cores) = prepared(3, &[0, 1, 1, 1, 2]);
+        shared.publish(1, 1.0 / 3.0);
+        shared.publish(2, 1.0);
+        mock.sleep(Duration::from_millis(100));
+        bal.balance_once(&shared, &cores, 0, SimDuration::ZERO);
+        assert_eq!(migrations(&shared), 1);
+        assert_eq!(mock.thread_cpu(2), Some(0));
+        // 350 ms: the nominal 200 ms block has passed, but slot 1 has not
+        // run a single activation since; slot 2 must not pull from it.
+        mock.sleep(Duration::from_millis(250));
+        bal.balance_once(&shared, &cores, 2, SimDuration::ZERO);
+        assert_eq!(migrations(&shared), 1, "slot 1 is still blocked");
+        // One own activation of slot 1 is not enough ...
+        bal.balance_once(&shared, &cores, 1, SimDuration::ZERO);
+        mock.sleep(Duration::from_millis(50));
+        bal.balance_once(&shared, &cores, 2, SimDuration::ZERO);
+        assert_eq!(migrations(&shared), 1, "one own activation is not enough");
+        // ... the second one lifts the block.
+        mock.sleep(Duration::from_millis(50));
+        bal.balance_once(&shared, &cores, 1, SimDuration::ZERO);
+        mock.sleep(Duration::from_millis(50));
+        bal.balance_once(&shared, &cores, 2, SimDuration::ZERO);
+        assert_eq!(migrations(&shared), 2);
+        assert_eq!(mock.thread_cpu(3), Some(2), "least-migrated, lowest tid");
     }
 
     #[test]
