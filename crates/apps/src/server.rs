@@ -296,14 +296,42 @@ impl ServerConfig {
     }
 }
 
-/// One pre-generated request: when it arrives and what each subtask
-/// costs.
+/// The pre-generated request schedule, stored flat: one arrival instant
+/// per request in `arrivals`, and the nominal demands of its `fanout`
+/// subtasks at `demands[i * fanout..(i + 1) * fanout]`. Two arrays for
+/// the whole run instead of one heap allocation per request.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Request {
-    /// Nominal open-loop arrival time.
-    pub arrival: SimTime,
-    /// Nominal service demand of each subtask (`fanout` entries).
-    pub subtasks: Vec<SimDuration>,
+pub struct RequestSchedule {
+    fanout: usize,
+    arrivals: Vec<SimTime>,
+    demands: Vec<SimDuration>,
+}
+
+impl RequestSchedule {
+    /// Number of requests.
+    pub fn len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    /// True when the window generated no request.
+    pub fn is_empty(&self) -> bool {
+        self.arrivals.is_empty()
+    }
+
+    /// Subtasks per request.
+    pub(crate) fn fanout(&self) -> usize {
+        self.fanout
+    }
+
+    /// Nominal open-loop arrival times, one per request, non-decreasing.
+    pub(crate) fn arrivals(&self) -> &[SimTime] {
+        &self.arrivals
+    }
+
+    /// Nominal service demand of each subtask of request `req`.
+    pub(crate) fn subtasks(&self, req: usize) -> &[SimDuration] {
+        &self.demands[req * self.fanout..(req + 1) * self.fanout]
+    }
 }
 
 /// Salt for the request-schedule RNG stream, so the schedule is
@@ -314,11 +342,15 @@ const SCHEDULE_SALT: u64 = 0x5345_5256_u64; // "SERV"
 /// subtask demands) for `cfg` from `seed`. Pure function of its inputs:
 /// the same (config, seed) yields the same schedule on every run, every
 /// policy, and every `--jobs` setting.
-pub fn generate_requests(cfg: &ServerConfig, seed: u64) -> Vec<Request> {
+pub fn generate_requests(cfg: &ServerConfig, seed: u64) -> RequestSchedule {
     assert!(cfg.fanout >= 1, "fanout must be at least 1");
     let mut rng = SimRng::new(seed).fork(SCHEDULE_SALT);
     let window_ns = cfg.window.as_nanos();
-    let mut out = Vec::new();
+    let mut out = RequestSchedule {
+        fanout: cfg.fanout,
+        arrivals: Vec::new(),
+        demands: Vec::new(),
+    };
     let mut t_ns: u64 = 0;
 
     // Draws one exponential inter-arrival gap in ns at `rate` (requests
@@ -401,19 +433,17 @@ pub fn generate_requests(cfg: &ServerConfig, seed: u64) -> Vec<Request> {
             break;
         }
         t_ns = candidate;
-        let subtasks = (0..cfg.fanout)
-            .map(|_| {
-                // Fan-out splits the request's demand: each of the K
-                // subtasks draws from the service distribution scaled by
-                // 1/K, keeping the offered load independent of K.
-                let d = cfg.service.sample(&mut rng);
-                SimDuration::from_nanos((d.as_nanos() / cfg.fanout as u64).max(1))
-            })
-            .collect();
-        out.push(Request {
-            arrival: SimTime::ZERO + SimDuration::from_nanos(t_ns),
-            subtasks,
-        });
+        out.arrivals
+            .push(SimTime::ZERO + SimDuration::from_nanos(t_ns));
+        for _ in 0..cfg.fanout {
+            // Fan-out splits the request's demand: each of the K subtasks
+            // draws from the service distribution scaled by 1/K, keeping
+            // the offered load independent of K.
+            let d = cfg.service.sample(&mut rng);
+            out.demands.push(SimDuration::from_nanos(
+                (d.as_nanos() / cfg.fanout as u64).max(1),
+            ));
+        }
     }
     out
 }
@@ -460,8 +490,8 @@ struct Subtask {
 
 /// Shared worker-pool state (single-threaded simulator: `Rc<RefCell>`).
 struct ServerState {
-    requests: Vec<Request>,
-    /// Cursor into `requests`: next not-yet-admitted arrival.
+    schedule: RequestSchedule,
+    /// Cursor into `schedule`: next not-yet-admitted arrival.
     next_arrival: usize,
     /// Admitted subtasks waiting for a worker, FIFO.
     queue: VecDeque<Subtask>,
@@ -502,10 +532,10 @@ impl ServerApp {
         seed: u64,
     ) -> (ServerApp, Vec<TaskId>) {
         assert!(cfg.workers > 0, "server workload needs at least one worker");
-        let requests = generate_requests(cfg, seed);
-        let n = requests.len();
+        let schedule = generate_requests(cfg, seed);
+        let n = schedule.len();
         let state = Rc::new(RefCell::new(ServerState {
-            requests,
+            schedule,
             next_arrival: 0,
             queue: VecDeque::new(),
             remaining: vec![0; n],
@@ -543,102 +573,89 @@ impl ServerApp {
 impl Program for ServerWorker {
     fn next(&mut self, ctx: &mut ProgramCtx<'_>) -> Directive {
         let now = ctx.now;
-        // Events to emit once the state borrow is released (trace_event
-        // needs `ctx`, and tracing must never feed back into decisions).
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let directive;
-        {
-            let mut s = self.state.borrow_mut();
+        // The borrow is on the shared state, not on `ctx`, so events go
+        // straight to the trace (a no-op with tracing off). Tracing only
+        // records; it never feeds back into a decision.
+        let mut s = self.state.borrow_mut();
+        let s = &mut *s;
+        let arrivals = s.schedule.arrivals();
 
-            // 1. Stamp the completion of the subtask just computed.
-            if let Some((sub, dispatched)) = self.current.take() {
-                let wall = now.saturating_since(dispatched);
-                s.metrics.service_wall.record_duration(wall);
-                s.remaining[sub.req] -= 1;
-                if s.remaining[sub.req] == 0 && !s.dropped[sub.req] {
-                    let latency = now.saturating_since(s.requests[sub.req].arrival);
-                    s.metrics.latency.record_duration(latency);
-                    s.metrics.completed += 1;
-                    events.push(TraceEvent::RequestComplete {
-                        request: sub.req,
-                        latency,
-                    });
-                }
-            }
-
-            // 2. Admit every arrival whose nominal time has passed, in
-            // arrival order. Whole requests admit or drop atomically.
-            while s.next_arrival < s.requests.len() && s.requests[s.next_arrival].arrival <= now {
-                let i = s.next_arrival;
-                s.next_arrival += 1;
-                let fanout = s.requests[i].subtasks.len();
-                if s.queue_capacity > 0 && s.queue.len() + fanout > s.queue_capacity {
-                    s.dropped[i] = true;
-                    s.metrics.dropped_queue_full += 1;
-                    events.push(TraceEvent::RequestDrop {
-                        request: i,
-                        reason: RequestDropReason::QueueFull,
-                    });
-                    continue;
-                }
-                for sub in 0..fanout {
-                    s.queue.push_back(Subtask { req: i, sub });
-                }
-                s.remaining[i] = fanout as u32;
-                s.metrics.admitted += 1;
-                events.push(TraceEvent::RequestArrival {
-                    request: i,
-                    arrival: s.requests[i].arrival,
-                    queued: s.queue.len(),
+        // 1. Stamp the completion of the subtask just computed.
+        if let Some((sub, dispatched)) = self.current.take() {
+            let wall = now.saturating_since(dispatched);
+            s.metrics.service_wall.record_duration(wall);
+            s.remaining[sub.req] -= 1;
+            if s.remaining[sub.req] == 0 && !s.dropped[sub.req] {
+                let latency = now.saturating_since(arrivals[sub.req]);
+                s.metrics.latency.record_duration(latency);
+                s.metrics.completed += 1;
+                ctx.trace_event(TraceEvent::RequestComplete {
+                    request: sub.req,
+                    latency,
                 });
             }
+        }
 
-            // 3. Pull the next live subtask and compute it.
-            directive = loop {
-                match s.queue.pop_front() {
-                    Some(sub) => {
-                        if s.dropped[sub.req] {
-                            continue; // sibling of a shed request
-                        }
-                        let wait = now.saturating_since(s.requests[sub.req].arrival);
-                        if s.shed_after > SimDuration::ZERO && wait > s.shed_after {
-                            s.dropped[sub.req] = true;
-                            s.metrics.dropped_shed += 1;
-                            events.push(TraceEvent::RequestDrop {
-                                request: sub.req,
-                                reason: RequestDropReason::ShedTimeout,
-                            });
-                            continue;
-                        }
-                        s.metrics.queue_delay.record_duration(wait);
-                        events.push(TraceEvent::RequestDispatch {
-                            request: sub.req,
-                            subtask: sub.sub,
-                            wait,
-                        });
-                        let demand = s.requests[sub.req].subtasks[sub.sub];
-                        self.current = Some((sub, now));
-                        break Directive::Compute(demand);
-                    }
-                    None => {
-                        // 4. Idle: sleep until the next arrival, or exit
-                        // once the schedule is exhausted (in-flight
-                        // subtasks finish on their own workers).
-                        if s.next_arrival < s.requests.len() {
-                            let next = s.requests[s.next_arrival].arrival;
-                            break Directive::SleepFor(
-                                next.saturating_since(now).max(SimDuration::from_nanos(1)),
-                            );
-                        }
-                        break Directive::Exit;
-                    }
-                }
-            };
+        // 2. Admit every arrival whose nominal time has passed, in arrival
+        // order. Whole requests admit or drop atomically.
+        let fanout = s.schedule.fanout();
+        while s.next_arrival < arrivals.len() && arrivals[s.next_arrival] <= now {
+            let i = s.next_arrival;
+            s.next_arrival += 1;
+            if s.queue_capacity > 0 && s.queue.len() + fanout > s.queue_capacity {
+                s.dropped[i] = true;
+                s.metrics.dropped_queue_full += 1;
+                ctx.trace_event(TraceEvent::RequestDrop {
+                    request: i,
+                    reason: RequestDropReason::QueueFull,
+                });
+                continue;
+            }
+            for sub in 0..fanout {
+                s.queue.push_back(Subtask { req: i, sub });
+            }
+            s.remaining[i] = fanout as u32;
+            s.metrics.admitted += 1;
+            ctx.trace_event(TraceEvent::RequestArrival {
+                request: i,
+                arrival: arrivals[i],
+                queued: s.queue.len(),
+            });
         }
-        for ev in events {
-            ctx.trace_event(ev);
+
+        // 3. Pull the next live subtask and compute it.
+        while let Some(sub) = s.queue.pop_front() {
+            if s.dropped[sub.req] {
+                continue; // sibling of a shed request
+            }
+            let wait = now.saturating_since(arrivals[sub.req]);
+            if s.shed_after > SimDuration::ZERO && wait > s.shed_after {
+                s.dropped[sub.req] = true;
+                s.metrics.dropped_shed += 1;
+                ctx.trace_event(TraceEvent::RequestDrop {
+                    request: sub.req,
+                    reason: RequestDropReason::ShedTimeout,
+                });
+                continue;
+            }
+            s.metrics.queue_delay.record_duration(wait);
+            ctx.trace_event(TraceEvent::RequestDispatch {
+                request: sub.req,
+                subtask: sub.sub,
+                wait,
+            });
+            self.current = Some((sub, now));
+            return Directive::Compute(s.schedule.subtasks(sub.req)[sub.sub]);
         }
-        directive
+
+        // 4. Idle: sleep until the next arrival, or exit once the schedule
+        // is exhausted (in-flight subtasks finish on their own workers).
+        match arrivals.get(s.next_arrival) {
+            Some(&next) => {
+                Directive::SleepFor(next.saturating_since(now).max(SimDuration::from_nanos(1)))
+            }
+            None => Directive::Exit,
+        }
     }
 
     fn label(&self) -> String {
@@ -674,10 +691,9 @@ mod tests {
         let b = generate_requests(&cfg, 7);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        assert!(a.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        assert!(a
-            .iter()
-            .all(|r| { r.arrival < SimTime::ZERO + cfg.window && r.subtasks.len() == 1 }));
+        assert_eq!(a.fanout(), 1);
+        assert!(a.arrivals().windows(2).all(|w| w[0] <= w[1]));
+        assert!(a.arrivals().iter().all(|&t| t < SimTime::ZERO + cfg.window));
         let c = generate_requests(&cfg, 8);
         assert_ne!(a, c, "different seed, different schedule");
     }
@@ -693,7 +709,10 @@ mod tests {
         };
         let reqs = generate_requests(&cfg, 3);
         assert!(!reqs.is_empty());
-        assert!(reqs.iter().all(|r| r.arrival < SimTime::ZERO + cfg.window));
+        assert!(reqs
+            .arrivals()
+            .iter()
+            .all(|&t| t < SimTime::ZERO + cfg.window));
 
         cfg.arrival = ArrivalProcess::Replay {
             rates_per_sec: vec![200.0, 4000.0, 200.0],
@@ -701,14 +720,40 @@ mod tests {
         };
         let reqs = generate_requests(&cfg, 3);
         assert!(!reqs.is_empty());
-        assert!(reqs.iter().all(|r| r.arrival < SimTime::ZERO + cfg.window));
+        assert!(reqs
+            .arrivals()
+            .iter()
+            .all(|&t| t < SimTime::ZERO + cfg.window));
     }
 
     #[test]
     fn fanout_splits_demand() {
         let cfg = small_cfg().fanout(4);
         let reqs = generate_requests(&cfg, 1);
-        assert!(reqs.iter().all(|r| r.subtasks.len() == 4));
+        assert!(!reqs.is_empty());
+        assert_eq!(reqs.fanout(), 4);
+        assert!((0..reqs.len()).all(|i| reqs.subtasks(i).len() == 4));
+    }
+
+    #[test]
+    fn schedule_draws_gap_then_each_subtask() {
+        // The stream order is part of the schedule's identity: per
+        // request, one inter-arrival gap, then `fanout` service draws.
+        let cfg = small_cfg().fanout(3);
+        let reqs = generate_requests(&cfg, 21);
+        let mut rng = SimRng::new(21).fork(SCHEDULE_SALT);
+        let mut t_ns = 0u64;
+        for i in 0..reqs.len() {
+            t_ns += ((rng.exp(1.0 / 2000.0) * 1e9) as u64).max(1);
+            assert_eq!(
+                reqs.arrivals()[i],
+                SimTime::ZERO + SimDuration::from_nanos(t_ns)
+            );
+            for &d in reqs.subtasks(i) {
+                let raw = cfg.service.sample(&mut rng).as_nanos();
+                assert_eq!(d, SimDuration::from_nanos((raw / 3).max(1)));
+            }
+        }
     }
 
     #[test]

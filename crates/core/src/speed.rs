@@ -53,6 +53,10 @@ pub struct SpeedBalancer {
     /// State of each core of `cores`, in the same order (the ring slots).
     slots: Vec<PerCore>,
     snapshots: Vec<Option<Snapshot>>,
+    /// Reused list of one core's managed tasks: the measurement loop and
+    /// the post-pull snapshot reset mutate `self` and `sys`, so they
+    /// cannot walk [`Self::managed_on`] while it borrows both.
+    tasks: Vec<TaskId>,
     rng: SimRng,
     next_rr: usize,
     stats: SpeedStatsHandle,
@@ -73,6 +77,7 @@ impl SpeedBalancer {
             cores: Vec::new(),
             slots: Vec::new(),
             snapshots: Vec::new(),
+            tasks: Vec::new(),
             rng: SimRng::new(seed ^ 0x53504545_44424c52), // "SPEEDBLR"
             next_rr: 0,
             stats: SpeedStats::new_handle(),
@@ -129,6 +134,15 @@ impl SpeedBalancer {
             .filter(move |&t| self.is_managed(sys, t))
     }
 
+    /// Takes the reused task list, filled with [`Self::managed_on`]
+    /// `core`; hand it back with `self.tasks = tasks` when done.
+    fn take_managed_on(&mut self, sys: &System, core: CoreId) -> Vec<TaskId> {
+        let mut tasks = std::mem::take(&mut self.tasks);
+        tasks.clear();
+        tasks.extend(self.managed_on(sys, core));
+        tasks
+    }
+
     fn snapshot_mut(&mut self, t: TaskId) -> &mut Option<Snapshot> {
         if self.snapshots.len() <= t.0 {
             self.snapshots.resize(t.0 + 1, None);
@@ -149,7 +163,7 @@ impl SpeedBalancer {
             return self.measure_core_by_queue(sys, core);
         }
         let now = sys.now();
-        let tasks: Vec<TaskId> = self.managed_on(sys, core).collect();
+        let tasks = self.take_managed_on(sys, core);
         let noise = self.cfg.measurement_noise;
         // Heterogeneous extension (§5): scale CPU share by the core's
         // effective capacity — static speed times the current frequency
@@ -161,7 +175,7 @@ impl SpeedBalancer {
         };
         let had_tasks = !tasks.is_empty();
         let (mut sum, mut n) = (0.0, 0usize);
-        for t in tasks {
+        for &t in &tasks {
             let exec = sys.task_exec_total(t);
             let snap = self.snapshot_mut(t);
             match snap {
@@ -190,6 +204,7 @@ impl SpeedBalancer {
                 }
             }
         }
+        self.tasks = tasks;
         if n > 0 {
             sum / n as f64
         } else if had_tasks {
@@ -307,11 +322,12 @@ impl SpeedBalancer {
         // measurement windows so the next activation sees a full interval
         // of fresh data.
         for c in [local, victim_core] {
-            let tasks: Vec<TaskId> = self.managed_on(sys, c).collect();
-            for t in tasks {
+            let tasks = self.take_managed_on(sys, c);
+            for &t in &tasks {
                 let exec = sys.task_exec_total(t);
                 *self.snapshot_mut(t) = Some(Snapshot { exec, time: now });
             }
+            self.tasks = tasks;
         }
         (s_local, s_global, ActivationOutcome::Pulled)
     }

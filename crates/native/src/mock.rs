@@ -281,6 +281,17 @@ impl MockProc {
     pub fn virtual_now(&self) -> Duration {
         self.state.lock().now
     }
+
+    /// Workers currently registered with the lockstep clock (see
+    /// [`ProcSource::worker_started`]). Lets a test thread that joins the
+    /// rendezvous wait until a balancer's own workers have registered.
+    pub fn registered_workers(&self) -> usize {
+        self.coord
+            .inner
+            .lock()
+            .expect("sleep coordinator poisoned")
+            .workers
+    }
 }
 
 impl MockProcBuilder {

@@ -45,23 +45,29 @@ fn list_tids_survives_concurrent_thread_exit() {
             .build(),
     );
     let topo = mock.topology();
+    // One balancer worker per managed core.
+    let balancer_workers = topo.n_cpus();
     let bal = NativeSpeedBalancer::attach_with_source(mock.pid(), churn_cfg(), mock.clone(), topo)
         .expect("attach");
 
+    // Join the lockstep rendezvous as a clock participant *before* the
+    // balancer starts, so spawns and exits interleave with live balance
+    // intervals rather than racing ahead of them. Registered first, the
+    // driver freezes virtual time for everyone until its first sleep.
+    mock.worker_started();
     let driver = {
         let mock = Arc::clone(&mock);
         std::thread::spawn(move || {
-            // Wait (in real time) until the balancer's workers are
-            // driving the virtual clock: sleeping earlier would advance
-            // time solo and run all the churn before the balancer starts.
-            while mock.virtual_now() < ms(15) {
+            // Wait until the balancer has registered its workers: sleeping
+            // earlier would advance time solo (the driver would be the only
+            // registered sleeper) and run the churn before balancing starts.
+            // Once they are registered the clock cannot move until this
+            // thread sleeps, so the first spawn lands at the end of the
+            // startup delay whatever the host's thread scheduling. Tids
+            // grow monotonically — a tid is never recycled.
+            while mock.registered_workers() < 1 + balancer_workers {
                 std::thread::yield_now();
             }
-            // Join the lockstep rendezvous as a third clock participant,
-            // so spawns and exits interleave with live balance intervals
-            // rather than racing ahead of them. Tids grow monotonically —
-            // a tid is never recycled.
-            mock.worker_started();
             let mut next_tid = 100;
             while mock.process_alive(50_001) && mock.virtual_now() < ms(2_000) {
                 mock.spawn_thread(next_tid);
